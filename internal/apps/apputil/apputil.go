@@ -36,8 +36,12 @@ func (e *Enc) Bytes(v []byte) {
 	e.B = append(e.B, v...)
 }
 
-// Str appends a length-prefixed string.
-func (e *Enc) Str(v string) { e.Bytes([]byte(v)) }
+// Str appends a length-prefixed string. It appends the string's bytes
+// directly: a []byte(v) conversion may allocate for strings past 32 bytes.
+func (e *Enc) Str(v string) {
+	e.Int(len(v))
+	e.B = append(e.B, v...)
+}
 
 // Bool appends a bool.
 func (e *Enc) Bool(v bool) {

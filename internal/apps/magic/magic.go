@@ -470,8 +470,11 @@ func (l *Layout) TotalTiles() int {
 }
 
 // MarshalState implements sim.Program.
-func (l *Layout) MarshalState() ([]byte, error) {
-	var e apputil.Enc
+func (l *Layout) MarshalState() ([]byte, error) { return l.AppendState(nil) }
+
+// AppendState implements sim.StateAppender.
+func (l *Layout) AppendState(buf []byte) ([]byte, error) {
+	e := apputil.Enc{B: buf}
 	e.Int(len(l.Layers))
 	for _, layer := range l.Layers {
 		e.Str(layer.Name)

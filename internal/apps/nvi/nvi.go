@@ -105,9 +105,6 @@ type Editor struct {
 
 	faultSalt uint64
 	skipClamp bool
-	// encBuf is the reusable MarshalState buffer (not part of the
-	// state; rebuilt lazily after a restore).
-	encBuf []byte
 	// pendingFlip defers a heap bit flip to after the checksum
 	// maintenance in the same apply step, so the corruption is latent
 	// (set and consumed within one step; no checkpoint can interleave).
@@ -155,11 +152,11 @@ func (e *Editor) setLineSum(i int) {
 func (e *Editor) Freeze() { e.frozen = true }
 
 // Fork implements sim.Forker: an independent copy of the editor. Unlike a
-// MarshalState round trip it never touches the receiver (no shared encBuf,
-// no flag writes), so a quiescent template editor may be forked from many
-// goroutines at once. A frozen template shares its line buffers with the
-// fork (copy-on-write, O(header) instead of O(document)); an unfrozen
-// editor deep-copies.
+// MarshalState round trip it never touches the receiver (no flag writes),
+// so a quiescent template editor may be forked from many goroutines at
+// once. A frozen template shares its line buffers with the fork
+// (copy-on-write, O(header) instead of O(document)); an unfrozen editor
+// deep-copies.
 func (e *Editor) Fork() (sim.Program, error) {
 	ne := *e
 	if e.frozen {
@@ -172,7 +169,6 @@ func (e *Editor) Fork() (sim.Program, error) {
 		ne.LineSums = append([]uint32(nil), e.LineSums...)
 	}
 	ne.ExBuf = append([]byte(nil), e.ExBuf...)
-	ne.encBuf = nil
 	ne.frozen = false
 	return &ne, nil
 }
@@ -337,7 +333,11 @@ func (e *Editor) Step(ctx *sim.Ctx) sim.Status {
 // trusts the cursor: a corrupted row crashes here, before the visible
 // event (and before any commit-prior-to-visible).
 func (e *Editor) render(ctx *sim.Ctx) {
-	screen := fmt.Sprintf("[%d,%d %dL%s] %s", e.Row, e.Col, len(e.Lines), map[bool]string{true: " +", false: ""}[e.Dirty], e.Lines[e.Row])
+	mark := ""
+	if e.Dirty {
+		mark = " +"
+	}
+	screen := fmt.Sprintf("[%d,%d %dL%s] %s", e.Row, e.Col, len(e.Lines), mark, e.Lines[e.Row])
 	if e.UseSyscall {
 		if _, err := ctx.Syscall("write", kernel.I64(1), []byte(screen)); err != nil {
 			ctx.Crash(err.Error())
@@ -785,13 +785,12 @@ func (e *Editor) Contents() []string {
 	return out
 }
 
-// MarshalState implements sim.Program. The returned slice reuses one
-// buffer across calls (the runtime copies it into the checkpoint image
-// before the next marshal), so a steady-state commit allocates nothing
-// here.
-func (e *Editor) MarshalState() ([]byte, error) {
-	enc := apputil.Enc{B: e.encBuf[:0]}
-	defer func() { e.encBuf = enc.B }()
+// MarshalState implements sim.Program.
+func (e *Editor) MarshalState() ([]byte, error) { return e.AppendState(nil) }
+
+// AppendState implements sim.StateAppender.
+func (e *Editor) AppendState(buf []byte) ([]byte, error) {
+	enc := apputil.Enc{B: buf}
 	enc.Int(len(e.Lines))
 	for _, l := range e.Lines {
 		enc.Bytes(l)

@@ -43,11 +43,6 @@ type DB struct {
 	PoolCap int
 
 	faultSalt uint64
-
-	// encBuf is the reusable MarshalState buffer. Not part of the state:
-	// it never round-trips through the image and is rebuilt lazily after a
-	// restore or fork.
-	encBuf []byte
 }
 
 // New returns a database storing its heap in `file`.
@@ -429,10 +424,14 @@ func field(fields []string, i int) string {
 	return ""
 }
 
-// marshalInto encodes the full database state into e.
-func (db *DB) marshalInto(e *apputil.Enc) {
-	db.Index.Marshal(e)
-	db.Pool.Marshal(e)
+// MarshalState implements sim.Program.
+func (db *DB) MarshalState() ([]byte, error) { return db.AppendState(nil) }
+
+// AppendState implements sim.StateAppender.
+func (db *DB) AppendState(buf []byte) ([]byte, error) {
+	e := apputil.Enc{B: buf}
+	db.Index.Marshal(&e)
+	db.Pool.Marshal(&e)
 	e.I64(int64(db.CurPage))
 	e.Bool(db.HavePage)
 	e.Int(db.Phase)
@@ -443,28 +442,20 @@ func (db *DB) marshalInto(e *apputil.Enc) {
 	e.I64(int64(db.OpCost))
 	e.Int(db.PoolCap)
 	e.I64(int64(db.faultSalt))
-}
-
-// MarshalState implements sim.Program. The returned slice aliases an
-// internal buffer reused across calls; callers that retain it must copy
-// (the checkpoint path appends it into the image immediately).
-func (db *DB) MarshalState() ([]byte, error) {
-	e := apputil.Enc{B: db.encBuf[:0]}
-	db.marshalInto(&e)
-	db.encBuf = e.B
 	return e.B, nil
 }
 
 // Fork implements sim.Forker via a marshal round trip into a fresh
 // instance: Unmarshal rebuilds the BTree and buffer pool from scratch, and
-// marshalInto only reads the receiver (the encoder here is deliberately
-// fresh, not the shared encBuf), so a quiescent template may be forked
-// from many goroutines at once.
+// marshaling only reads the receiver, so a quiescent template may be
+// forked from many goroutines at once.
 func (db *DB) Fork() (sim.Program, error) {
-	var e apputil.Enc
-	db.marshalInto(&e)
+	data, err := db.MarshalState()
+	if err != nil {
+		return nil, err
+	}
 	nd := &DB{}
-	if err := nd.UnmarshalState(e.B); err != nil {
+	if err := nd.UnmarshalState(data); err != nil {
 		return nil, err
 	}
 	return nd, nil

@@ -241,8 +241,11 @@ func (t *TM) FinalBodies() []Body {
 }
 
 // MarshalState implements sim.Program.
-func (t *TM) MarshalState() ([]byte, error) {
-	var e apputil.Enc
+func (t *TM) MarshalState() ([]byte, error) { return t.AppendState(nil) }
+
+// AppendState implements sim.StateAppender.
+func (t *TM) AppendState(buf []byte) ([]byte, error) {
+	e := apputil.Enc{B: buf}
 	t.DSM.marshal(&e)
 	e.Int(t.NBodies)
 	e.Int(t.Iters)

@@ -370,8 +370,11 @@ func (s *Server) encodeFrame() []byte {
 }
 
 // MarshalState implements sim.Program.
-func (s *Server) MarshalState() ([]byte, error) {
-	var e apputil.Enc
+func (s *Server) MarshalState() ([]byte, error) { return s.AppendState(nil) }
+
+// AppendState implements sim.StateAppender.
+func (s *Server) AppendState(buf []byte) ([]byte, error) {
+	e := apputil.Enc{B: buf}
 	e.Int(len(s.Ships))
 	for _, sh := range s.Ships {
 		e.Int(sh.X)
@@ -551,8 +554,11 @@ func (c *Client) Step(ctx *sim.Ctx) sim.Status {
 }
 
 // MarshalState implements sim.Program.
-func (c *Client) MarshalState() ([]byte, error) {
-	var e apputil.Enc
+func (c *Client) MarshalState() ([]byte, error) { return c.AppendState(nil) }
+
+// AppendState implements sim.StateAppender.
+func (c *Client) AppendState(buf []byte) ([]byte, error) {
+	e := apputil.Enc{B: buf}
 	e.Int(c.Server)
 	e.Int(c.Me)
 	e.Int(c.Phase)

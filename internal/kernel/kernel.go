@@ -606,24 +606,24 @@ func (k *Kernel) SaveProcState(pid int) []byte {
 // RestoreProcState implements sim.OS: the node reboots (clearing any panic)
 // and the file table is rebuilt from the checkpointed blob — the paper's
 // "copies syscall parameters and uses them to directly reconstruct relevant
-// kernel state during recovery".
+// kernel state during recovery". A blob that is not exactly what
+// SaveProcState writes (a short header, a negative count or path length, an
+// entry running past the end, trailing bytes) restores nothing: the node is
+// left rebooted with an empty file table rather than a partial one.
 func (k *Kernel) RestoreProcState(pid int, blob []byte) {
 	k.Reboot(pid)
-	n := k.node(pid)
-	if len(blob) < 16 {
+	if !validProcState(blob) {
 		return
 	}
+	n := k.node(pid)
 	count := Int(blob[0:8])
 	n.nextFD = int(Int(blob[8:16]))
 	p := 16
-	for i := int64(0); i < count && p+24 <= len(blob); i++ {
+	for i := int64(0); i < count; i++ {
 		fd := Int(blob[p : p+8])
 		off := Int(blob[p+8 : p+16])
 		plen := int(Int(blob[p+16 : p+24]))
 		p += 24
-		if p+plen > len(blob) {
-			return
-		}
 		path := string(blob[p : p+plen])
 		p += plen
 		if _, ok := n.file(path); !ok {
@@ -631,6 +631,32 @@ func (k *Kernel) RestoreProcState(pid int, blob []byte) {
 		}
 		n.fds[int(fd)] = &fdEntry{Path: path, Offset: off}
 	}
+}
+
+// validProcState reports whether blob is a well-formed SaveProcState image:
+// a count and next-fd header, then exactly count (fd, offset, path length,
+// path) entries that end where the blob does.
+func validProcState(blob []byte) bool {
+	if len(blob) < 16 {
+		return false
+	}
+	count := Int(blob[0:8])
+	if count < 0 {
+		return false
+	}
+	p := 16
+	for i := int64(0); i < count; i++ {
+		if len(blob)-p < 24 {
+			return false
+		}
+		plen := Int(blob[p+16 : p+24])
+		p += 24
+		if plen < 0 || plen > int64(len(blob)-p) {
+			return false
+		}
+		p += int(plen)
+	}
+	return p == len(blob)
 }
 
 func fdArg(args [][]byte) (int, error) {

@@ -169,8 +169,8 @@ type VistaMetrics struct {
 	Rollbacks    int64
 	PagesDirtied int64
 	UndoBytes    int64
-	// HashHits counts clean pages skipped via the per-page hash cache;
-	// HashMisses counts pages that fell back to the byte comparison.
+	// HashHits counts clean pages whose contents were already known;
+	// HashMisses counts pages whose contents were known but changed.
 	HashHits   int64
 	HashMisses int64
 	// PagesPrivatized counts pages a copy-on-write fork copied out of its

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"time"
 
 	"failtrans/internal/event"
@@ -333,7 +334,7 @@ func (c *Ctx) Output(s string) {
 	}
 	w := c.p.World
 	w.Outputs[c.p.Index] = append(w.Outputs[c.p.Index], s)
-	w.GlobalOutputs = append(w.GlobalOutputs, fmt.Sprintf("p%d:%s", c.p.Index, s))
+	w.GlobalOutputs = append(w.GlobalOutputs, "p"+strconv.Itoa(c.p.Index)+":"+s)
 	c.after(event.Visible, event.Deterministic, false, 0, 0, "output")
 }
 

@@ -51,22 +51,21 @@ func appendI64(buf []byte, v int64) []byte {
 //
 //failtrans:hotpath
 func (p *Proc) AppendCheckpointImage(buf []byte, essential bool) ([]byte, error) {
+	// A StateAppender serializes in place, after the header; any other
+	// program marshals up front. Either way the program's state is read
+	// before the kernel's.
 	var app []byte
 	var err error
 	mode := byte(0)
+	sa, direct := p.Prog.(StateAppender)
 	if ps, ok := p.Prog.(PartialState); ok && essential {
-		mode = 1
+		mode, direct = 1, false
 		app, err = ps.MarshalEssential()
-	} else {
+	} else if !direct {
 		app, err = p.Prog.MarshalState()
 	}
 	if err != nil {
-		//failtrans:alloc cold error path: a failed marshal aborts the commit, so the formatting never runs in a committing cycle
-		return nil, fmt.Errorf("sim: marshal %s state: %w", p.Prog.Name(), err)
-	}
-	var kern []byte
-	if p.World.OS != nil {
-		kern = p.World.OS.SaveProcState(p.Index)
+		return nil, p.marshalErr(err)
 	}
 	buf = append(buf, mode)
 	buf = appendI64(buf, int64(p.InputCursor))
@@ -82,11 +81,29 @@ func (p *Proc) AppendCheckpointImage(buf []byte, essential bool) ([]byte, error)
 		buf = appendI64(buf, int64(s))
 		buf = appendI64(buf, p.RecvHW[s])
 	}
-	buf = appendI64(buf, int64(len(app)))
-	buf = append(buf, app...)
+	lenAt := len(buf)
+	buf = appendI64(buf, 0)
+	if direct {
+		if buf, err = sa.AppendState(buf); err != nil {
+			return nil, p.marshalErr(err)
+		}
+	} else {
+		buf = append(buf, app...)
+	}
+	binary.LittleEndian.PutUint64(buf[lenAt:], uint64(len(buf)-lenAt-8))
+	var kern []byte
+	if p.World.OS != nil {
+		kern = p.World.OS.SaveProcState(p.Index)
+	}
 	buf = appendI64(buf, int64(len(kern)))
 	buf = append(buf, kern...)
 	return buf, nil
+}
+
+// marshalErr wraps a failed state serialization.
+func (p *Proc) marshalErr(err error) error {
+	//failtrans:alloc cold error path: a failed marshal aborts the commit, so the formatting never runs in a committing cycle
+	return fmt.Errorf("sim: marshal %s state: %w", p.Prog.Name(), err)
 }
 
 // Checkpoint images are validated with static errors: restore sits on the

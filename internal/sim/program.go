@@ -82,11 +82,20 @@ type Program interface {
 	Step(ctx *Ctx) Status
 	// MarshalState serializes the complete mutable state. The runtime
 	// copies the result into the checkpoint image before the next call,
-	// so implementations may reuse one buffer across calls to keep the
-	// commit hot path allocation-free.
+	// so implementations may reuse one buffer across calls. A program
+	// that also implements StateAppender is checkpointed through it.
 	MarshalState() ([]byte, error)
 	// UnmarshalState replaces the state with a previously marshaled one.
 	UnmarshalState(data []byte) error
+}
+
+// StateAppender is an optional Program extension: AppendState appends
+// exactly the bytes MarshalState would return to buf and returns the
+// extended slice. The checkpoint path lets such a program serialize
+// straight into the reused image buffer, so a commit neither grows a
+// separate marshal buffer nor copies the state a second time.
+type StateAppender interface {
+	AppendState(buf []byte) ([]byte, error)
 }
 
 // Checker is an optional Program extension: a consistency check over the

@@ -74,36 +74,81 @@ func TestCommitCycleZeroAllocsWithMetrics(t *testing.T) {
 	}
 }
 
-// refSegment is the naive reference model for SetContents semantics: the
-// segment holds the last image, zero-padded to the largest extent ever set.
+// refSegment is the naive reference model for the segment: the memory
+// holds the last image, zero-padded to the largest extent ever set, and
+// each page carries the dirty and known flags the commit accounting and
+// the HashHits/HashMisses counters are defined by.
 type refSegment struct {
-	mem       []byte
-	committed []byte
+	ps           int
+	mem          []byte
+	committed    []byte
+	known, dirty []bool
+	hits, misses int64
 }
 
+func (r *refSegment) extend(n int) {
+	if n > len(r.mem) {
+		r.mem = append(r.mem, make([]byte, n-len(r.mem))...)
+	}
+	for np := (len(r.mem) + r.ps - 1) / r.ps; len(r.known) < np; {
+		r.known = append(r.known, false)
+		r.dirty = append(r.dirty, false)
+	}
+}
+
+// set lays data over the whole extent. Every page becomes known; a page
+// that was already known counts a hit when its bytes are unchanged and a
+// miss otherwise, and a changed page is dirtied.
 func (r *refSegment) set(data []byte) {
-	if len(data) > len(r.mem) {
-		r.mem = append(r.mem, make([]byte, len(data)-len(r.mem))...)
+	r.extend(len(data))
+	next := make([]byte, len(r.mem))
+	copy(next, data)
+	for p := range r.known {
+		lo, hi := p*r.ps, min((p+1)*r.ps, len(r.mem))
+		same := bytes.Equal(r.mem[lo:hi], next[lo:hi])
+		if r.known[p] {
+			if same {
+				r.hits++
+			} else {
+				r.misses++
+			}
+		}
+		r.known[p] = true
+		r.dirty[p] = r.dirty[p] || !same
 	}
-	copy(r.mem, data)
-	for i := len(data); i < len(r.mem); i++ {
-		r.mem[i] = 0
-	}
+	r.mem = next
 }
 
 func (r *refSegment) write(off int, data []byte) {
-	if need := off + len(data); need > len(r.mem) {
-		r.mem = append(r.mem, make([]byte, need-len(r.mem))...)
+	r.extend(off + len(data))
+	for p := off / r.ps; p <= (off+len(data)-1)/r.ps; p++ {
+		r.known[p] = false
+		r.dirty[p] = true
 	}
 	copy(r.mem[off:], data)
 }
 
-func (r *refSegment) commit() { r.committed = append(r.committed[:0], r.mem...) }
+func (r *refSegment) commit(registers []byte) Stats {
+	var st Stats
+	for p, d := range r.dirty {
+		if d {
+			st.Pages++
+			r.dirty[p] = false
+		}
+	}
+	st.Bytes = st.Pages*r.ps + len(registers)
+	r.committed = append(r.committed[:0], r.mem...)
+	return st
+}
 
 func (r *refSegment) rollback() {
-	for i := range r.mem {
-		r.mem[i] = 0
+	for p, d := range r.dirty {
+		if d {
+			r.known[p] = false
+			r.dirty[p] = false
+		}
 	}
+	clear(r.mem)
 	copy(r.mem, r.committed)
 }
 
@@ -122,7 +167,7 @@ func pat(n int, seed byte) []byte {
 func TestSetContentsBoundaryCases(t *testing.T) {
 	const ps = 64
 	seg := NewSegment(0, ps)
-	ref := &refSegment{}
+	ref := &refSegment{ps: ps}
 	set := func(data []byte) {
 		t.Helper()
 		seg.SetContents(data)
@@ -168,51 +213,98 @@ func TestSetContentsBoundaryCases(t *testing.T) {
 }
 
 // TestSetContentsRandomizedAgainstReference interleaves SetContents, Write,
-// Commit and Rollback with random extents and checks the segment against
-// the naive model after every operation — including that rollback restores
-// exactly the committed image (hash-cache invalidation must not let a
-// stale entry skip a page that rollback changed).
+// Commit, Rollback and forks with random extents (growth and shrink
+// included) and checks the segment against the naive model after every
+// operation: contents, each commit's Stats, and the HashHits/HashMisses
+// counters. Forks continue on a deep copy of the segment or on a COW fork
+// of it frozen as a template; no template may change afterwards.
 func TestSetContentsRandomizedAgainstReference(t *testing.T) {
 	const ps = 32
-	rng := rand.New(rand.NewSource(7))
-	seg := NewSegment(0, ps)
-	ref := &refSegment{}
-	seg.Commit(nil)
-	ref.commit()
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		seg := NewSegment(0, ps)
+		m := &obs.VistaMetrics{}
+		seg.Metrics = m
+		ref := &refSegment{ps: ps}
+		seg.Commit(nil)
+		ref.commit(nil)
+		type frozen struct {
+			seg      *Segment
+			contents []byte
+		}
+		var templates []frozen
 
-	randImage := func() []byte {
-		n := rng.Intn(6*ps + 1)
-		out := make([]byte, n)
-		for i := range out {
-			if rng.Intn(3) > 0 { // bias toward zeros to exercise zero tails
-				out[i] = byte(rng.Intn(256))
+		randImage := func() []byte {
+			n := rng.Intn(6*ps + 1)
+			out := make([]byte, n)
+			for i := range out {
+				if rng.Intn(3) > 0 { // bias toward zeros to exercise zero tails
+					out[i] = byte(rng.Intn(256))
+				}
+			}
+			return out
+		}
+
+		for iter := 0; iter < 2000; iter++ {
+			switch op := rng.Intn(10); op {
+			case 0, 1, 2:
+				img := randImage()
+				seg.SetContents(img)
+				ref.set(img)
+			case 3:
+				// Re-lay the current image with at most one byte changed,
+				// sometimes grown by a zero tail: the known pages that
+				// still compare equal, a grown partial last page included,
+				// are what HashHits counts.
+				img := seg.Contents()
+				if len(img) > 0 && rng.Intn(2) == 0 {
+					img[rng.Intn(len(img))]++
+				}
+				if rng.Intn(3) == 0 {
+					img = append(img, make([]byte, rng.Intn(ps))...)
+				}
+				seg.SetContents(img)
+				ref.set(img)
+			case 4:
+				off := rng.Intn(5 * ps)
+				data := pat(rng.Intn(ps)+1, byte(iter))
+				if err := seg.Write(off, data); err != nil {
+					t.Fatal(err)
+				}
+				ref.write(off, data)
+			case 5, 6:
+				regs := []byte{byte(iter)}
+				got, want := seg.Commit(regs), ref.commit(regs)
+				if got != want {
+					t.Fatalf("seed %d iter %d: commit stats %+v, model %+v", seed, iter, got, want)
+				}
+			case 7:
+				seg.RollbackPages()
+				ref.rollback()
+			case 8:
+				seg = seg.Fork()
+				seg.Metrics = m
+			default:
+				seg.Freeze()
+				templates = append(templates, frozen{seg, seg.Contents()})
+				seg = seg.Fork()
+				seg.Metrics = m
+			}
+			if got := seg.Contents(); !bytes.Equal(got, ref.mem) {
+				t.Fatalf("seed %d iter %d: segment diverged from reference (len %d vs %d)", seed, iter, len(got), len(ref.mem))
+			}
+			if m.HashHits != ref.hits || m.HashMisses != ref.misses {
+				t.Fatalf("seed %d iter %d: hash hits/misses %d/%d, model %d/%d",
+					seed, iter, m.HashHits, m.HashMisses, ref.hits, ref.misses)
 			}
 		}
-		return out
-	}
-
-	for iter := 0; iter < 2000; iter++ {
-		switch rng.Intn(6) {
-		case 0, 1, 2:
-			img := randImage()
-			seg.SetContents(img)
-			ref.set(img)
-		case 3:
-			off := rng.Intn(5 * ps)
-			data := pat(rng.Intn(ps)+1, byte(iter))
-			if err := seg.Write(off, data); err != nil {
-				t.Fatal(err)
-			}
-			ref.write(off, data)
-		case 4:
-			seg.Commit(nil)
-			ref.commit()
-		default:
-			seg.Rollback()
-			ref.rollback()
+		if ref.hits == 0 || ref.misses == 0 || len(templates) == 0 {
+			t.Fatalf("seed %d: run exercised hits=%d misses=%d templates=%d", seed, ref.hits, ref.misses, len(templates))
 		}
-		if got := seg.Contents(); !bytes.Equal(got, ref.mem) {
-			t.Fatalf("iter %d: segment diverged from reference (len %d vs %d)", iter, len(got), len(ref.mem))
+		for i, tm := range templates {
+			if !bytes.Equal(tm.seg.Contents(), tm.contents) {
+				t.Fatalf("seed %d: template %d changed after it was frozen", seed, i)
+			}
 		}
 	}
 }

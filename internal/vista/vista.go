@@ -13,18 +13,18 @@
 // The commit path is engineered to do work proportional to the *dirty*
 // bytes with zero steady-state heap allocations: the dirty set is a
 // reusable bitset cleared in place, undo-record page buffers are pooled
-// across commit cycles, page comparison is word-wise, and a per-page hash
-// cache (maintained across commits) lets SetContents reject changed pages
-// after a single pass over the incoming image.
+// across commit cycles, and SetContents decides whether a page is clean by
+// comparing the incoming page with the resident one directly (vectorized
+// bytes.Equal, several times cheaper than hashing the incoming page).
 //
 // A segment also supports the same trick one level up, for the fault
 // campaign engine that forks whole worlds off memoized clean prefixes:
 // Freeze seals a segment as an immutable template, and Fork of a frozen
 // segment returns a copy-on-write fork that shares the template's memory
-// image and page-hash cache. A fork privatizes a page into its private
-// overlay on first write — exactly the Discount Checking first-touch trap,
-// applied to the meta-level engine — so forking costs O(metadata), not
-// O(state), and each fork pays only for the pages it actually changes.
+// image. A fork privatizes a page into its private overlay on first write
+// — exactly the Discount Checking first-touch trap, applied to the
+// meta-level engine — so forking costs O(metadata), not O(state), and each
+// fork pays only for the pages it actually changes.
 package vista
 
 import (
@@ -81,8 +81,8 @@ type Segment struct {
 	// a frozen template, and touchPage privatizes a fork's page into
 	// overlay before the write lands.
 	//failtrans:cowshared mustMutable,touchPage
-	mem []byte
-	undo []undoRec
+	mem      []byte
+	undo     []undoRec
 	dirty    pageBitset
 	nDirty   int
 	savedReg []byte
@@ -101,22 +101,13 @@ type Segment struct {
 	// zeroed, so growth re-exposes zeros exactly like flat memory does.
 	overlay map[int][]byte
 
-	// pageHash caches, per page, the hash of the page's current contents
-	// whenever the matching hashValid bit is set. SetContents maintains
-	// it so a changed incoming page is detected from the hash alone —
-	// without re-reading the segment's committed bytes. Write-path
-	// updates (whose contents SetContents never sees) just invalidate.
-	// A COW fork inherits the template's cache (valid entries carry over
-	// because fork shares the template's bytes), so its first commit
-	// skips clean pages without ever reading them.
-	//failtrans:cowshared privatizeHash
-	pageHash []uint64
-	//failtrans:cowshared privatizeHash
-	hashValid pageBitset
-	// hashShared marks pageHash/hashValid as clamped views of the frozen
-	// template's arrays: valid to read (the shared bytes cannot change),
-	// privatized by privatizeHash before the first invalidation or update.
-	hashShared bool
+	// known marks the pages whose resident contents SetContents last laid
+	// down: SetContents sets the bit on every page it passes over, and
+	// Write and RollbackPages clear it on the pages they change behind
+	// SetContents' back. It feeds only the HashHits/HashMisses counters
+	// (a known page that compares equal is a hit, one that differs a
+	// miss); cleanliness itself is decided by comparing bytes.
+	known pageBitset
 
 	// bufPool recycles undo-record page buffers across commit cycles.
 	bufPool [][]byte
@@ -177,21 +168,13 @@ func (s *Segment) pageExtent(p int) (start, end int) {
 	return start, end
 }
 
-// sizeTracking (re)sizes the dirty/hash structures to the segment size,
+// sizeTracking (re)sizes the per-page bitsets to the segment size,
 // preserving existing entries.
 func (s *Segment) sizeTracking() {
-	np := s.pages()
-	words := (np + 63) / 64
+	words := (s.pages() + 63) / 64
 	for len(s.dirty) < words {
 		s.dirty = append(s.dirty, 0)
-	}
-	for len(s.hashValid) < words {
-		//failtrans:cowok a fork's view is capacity-clamped at cowFork, so append always reallocates instead of writing the frozen template's array
-		s.hashValid = append(s.hashValid, 0)
-	}
-	for len(s.pageHash) < np {
-		//failtrans:cowok a fork's view is capacity-clamped at cowFork, so append always reallocates instead of writing the frozen template's array
-		s.pageHash = append(s.pageHash, 0)
+		s.known = append(s.known, 0)
 	}
 }
 
@@ -321,20 +304,6 @@ func (s *Segment) privatize(p int) {
 	}
 }
 
-// privatizeHash unshares the hash cache from the frozen template before
-// its first mutation. Shared reads need no copy — the template's entries
-// stay correct for every page still served from its bytes.
-func (s *Segment) privatizeHash() {
-	if !s.hashShared {
-		return
-	}
-	//failtrans:alloc one-time per fork: the hash cache is COW — shared at fork, copied at first invalidation
-	s.pageHash = append([]uint64(nil), s.pageHash...)
-	//failtrans:alloc one-time per fork: the hash cache is COW — shared at fork, copied at first invalidation
-	s.hashValid = append(pageBitset(nil), s.hashValid...)
-	s.hashShared = false
-}
-
 // writablePage returns the mutable extent of page p, privatizing it first
 // on a COW fork.
 func (s *Segment) writablePage(p int) []byte {
@@ -378,9 +347,8 @@ func (s *Segment) touchPage(p int) {
 }
 
 // Write copies data into the segment at off, growing it as needed and
-// logging before-images of every touched page. The hash cache entries of
-// the touched pages are invalidated (Write does not know the final page
-// contents; SetContents recomputes them on its next pass).
+// logging before-images of every touched page. The touched pages stop
+// being known to SetContents.
 //
 //failtrans:hotpath
 func (s *Segment) Write(off int, data []byte) error {
@@ -394,10 +362,9 @@ func (s *Segment) Write(off int, data []byte) error {
 	}
 	s.grow(off + len(data))
 	first, last := off/s.pageSize, (off+len(data)-1)/s.pageSize
-	s.privatizeHash()
 	for p := first; p <= last; p++ {
 		s.touchPage(p)
-		s.hashValid.clear(p)
+		s.known.clear(p)
 	}
 	if s.base == nil {
 		copy(s.mem[off:], data)
@@ -464,12 +431,11 @@ func (s *Segment) ReadInto(off int, dst []byte) error {
 // pages never fault. It is the path Discount Checking uses to lay a
 // serialized process image into the segment.
 //
-// Each incoming page is hashed in one pass and compared against the cached
-// hash of the resident page, so clean pages are skipped without reading
-// the resident bytes at all; only pages without a cached hash yet fall
-// back to a word-wise byte comparison. On a COW fork, a page is privatized
-// only when it differs — clean pages keep reading through to the shared
-// template.
+// Each incoming page is compared with the resident page directly: one
+// vectorized bytes.Equal per page, which on a 4 KiB page costs a fraction
+// of hashing it, and which cannot mistake a changed page for a clean one.
+// On a COW fork, a page is privatized only when it differs — clean pages
+// keep reading through to the shared template.
 //
 //failtrans:hotpath
 func (s *Segment) SetContents(data []byte) {
@@ -492,29 +458,16 @@ func (s *Segment) SetContents(data []byte) {
 			src = data[start:end]
 		}
 		p := start / s.pageSize
-		h := pageHashOf(src, end-start)
-		if s.hashValid.has(p) {
-			if s.pageHash[p] == h {
-				// Clean: the cached hash of the resident page matches
-				// the incoming page's, so the resident bytes are never
-				// read at all. A 64-bit collision (~2^-64 per page)
-				// would wrongly skip the copy; the commit path accepts
-				// that in exchange for halving clean-page work.
-				if m := s.Metrics; m != nil {
-					m.HashHits++
-				}
-				continue
-			}
-			if m := s.Metrics; m != nil {
+		clean := pageEqual(s.resident(p), src)
+		if m := s.Metrics; m != nil && s.known.has(p) {
+			if clean {
+				m.HashHits++
+			} else {
 				m.HashMisses++
 			}
-		} else if pageEqual(s.resident(p), src) {
-			// First sighting of a clean page: adopt its hash so the
-			// next commit cycle skips the byte comparison path on a
-			// mismatch.
-			s.privatizeHash()
-			s.pageHash[p] = h
-			s.hashValid.set(p)
+		}
+		s.known.set(p)
+		if clean {
 			continue
 		}
 		s.touchPage(p)
@@ -523,19 +476,15 @@ func (s *Segment) SetContents(data []byte) {
 		for i := n; i < len(page); i++ {
 			page[i] = 0
 		}
-		s.privatizeHash()
-		s.pageHash[p] = h
-		s.hashValid.set(p)
 	}
 }
 
-// pageHashOf hashes the logical contents of one page extent: the bytes of
-// src followed by implicit zeros out to extent bytes. Logical word j
-// always lands in lane j%4 with its logical (zero-padded) value, so the
-// result is a pure function of the extent's contents regardless of where
-// len(src) falls. Four independent multiply lanes break the serial
-// xor-multiply dependency chain and keep the common clean-page scan
-// memory-bound rather than latency-bound.
+// pageHashOf hashes the logical contents of one page extent for
+// ContentDigest: the bytes of src followed by implicit zeros out to extent
+// bytes. Logical word j always lands in lane j%4 with its logical
+// (zero-padded) value, so the result is a pure function of the extent's
+// contents regardless of where len(src) falls. Four independent multiply
+// lanes break the serial xor-multiply dependency chain.
 func pageHashOf(src []byte, extent int) uint64 {
 	const mul = 0x9E3779B97F4A7C15
 	h0 := uint64(0x243F6A8885A308D3)
@@ -643,7 +592,7 @@ func (s *Segment) ContentDigest() uint64 {
 
 // Freeze seals the segment as an immutable copy-on-write template: every
 // subsequent Fork returns an O(metadata) COW fork sharing this segment's
-// memory image and page-hash cache, and every mutator panics. The memory
+// memory image, and every mutator panics. The memory
 // image is padded to a page boundary so forks can borrow whole-page slices
 // without bounds juggling. A frozen segment may be forked concurrently from
 // any number of goroutines without locking — nothing ever writes it again.
@@ -668,7 +617,7 @@ func (s *Segment) Freeze() {
 }
 
 // Fork returns an independent copy of the segment, mid-transaction state
-// included: memory image, undo log, dirty set and hash cache all carry
+// included: memory image, undo log, dirty set and known-page set all carry
 // over, so a rollback of either copy behaves identically. The buffer pool
 // and Metrics sink do not carry over (the fork warms its own pool;
 // observability is per-run).
@@ -688,8 +637,7 @@ func (s *Segment) Fork() *Segment {
 		dirty:       append(pageBitset(nil), s.dirty...),
 		nDirty:      s.nDirty,
 		savedReg:    append([]byte(nil), s.savedReg...),
-		pageHash:    append([]uint64(nil), s.pageHash...),
-		hashValid:   append(pageBitset(nil), s.hashValid...),
+		known:       append(pageBitset(nil), s.known...),
 		CommitCount: s.CommitCount,
 		LoggedBytes: s.LoggedBytes,
 	}
@@ -706,32 +654,29 @@ func (s *Segment) Fork() *Segment {
 }
 
 // cowFork builds a copy-on-write fork of a frozen template. Only the small
-// per-page metadata (dirty set, hash cache, undo headers) is copied; the
+// per-page metadata (dirty and known bitsets, undo headers) is copied; the
 // memory image and any pending undo before-images are shared with the
 // template, which Freeze guarantees can never change.
 func (s *Segment) cowFork() *Segment {
-	// Everything possible is shared or deferred: the hash cache stays a
-	// clamped view of the template's arrays until first invalidation
-	// (privatizeHash), and the overlay map waits for the first privatized
-	// page. Only the dirty bitset is copied — touchPage mutates it on the
-	// fork's first write, which for most campaign forks is immediate.
+	// The overlay map waits for the first privatized page. Both bitsets
+	// are copied into one allocation, each capacity-clamped so growth
+	// reallocates it instead of spilling into the other.
 	nd := len(s.dirty)
-	words := make([]uint64, nd)
+	words := make([]uint64, 2*nd)
 	ns := &Segment{
 		pageSize:    s.pageSize,
 		size:        s.size,
 		base:        s,
 		undo:        make([]undoRec, len(s.undo)),
 		dirty:       pageBitset(words[0:nd:nd]),
+		known:       pageBitset(words[nd : 2*nd : 2*nd]),
 		nDirty:      s.nDirty,
 		savedReg:    append([]byte(nil), s.savedReg...),
-		pageHash:    s.pageHash[:len(s.pageHash):len(s.pageHash)],
-		hashValid:   pageBitset(s.hashValid[:len(s.hashValid):len(s.hashValid)]),
-		hashShared:  true,
 		CommitCount: s.CommitCount,
 		LoggedBytes: s.LoggedBytes,
 	}
 	copy(ns.dirty, s.dirty)
+	copy(ns.known, s.known)
 	for i, rec := range s.undo {
 		ns.undo[i] = undoRec{page: rec.page, data: rec.data, borrowed: true}
 	}
@@ -764,9 +709,8 @@ func (s *Segment) Commit(registers []byte) Stats {
 // its last committed state, without copying out the saved register file —
 // the zero-allocation form of Rollback for recovery paths that read the
 // registers elsewhere. After a simulated crash this is exactly recovery:
-// the undo log is persistent. Restored pages' hash cache entries are
-// invalidated (their contents no longer match what SetContents last
-// hashed).
+// the undo log is persistent. Restored pages stop being known to
+// SetContents (their contents no longer match what it last laid down).
 //
 //failtrans:hotpath
 func (s *Segment) RollbackPages() {
@@ -781,8 +725,7 @@ func (s *Segment) RollbackPages() {
 		for j := n; j < len(page); j++ {
 			page[j] = 0
 		}
-		s.privatizeHash()
-		s.hashValid.clear(rec.page)
+		s.known.clear(rec.page)
 	}
 	s.releaseUndo()
 	if m := s.Metrics; m != nil {

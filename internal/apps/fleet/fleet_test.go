@@ -130,3 +130,44 @@ func TestFleetStateRoundTrip(t *testing.T) {
 		t.Fatalf("client state did not round-trip: %+v", c2)
 	}
 }
+
+// TestFleetHistogramFootprint: a process's histogram block exists only once
+// it has observed a value. An unrecoverable 10⁴-proc fleet has no recovery
+// layer to observe commits, log forces or rollbacks, so no process carries
+// a block; under CPV-2PC, exactly the processes with commits, log forces or
+// rollbacks on their counters do.
+func TestFleetHistogramFootprint(t *testing.T) {
+	w := sim.NewWorld(17, Fleet(Sized(10_000))...)
+	w.RecordTrace = false
+	w.MaxSteps = 10_000_000
+	m, _ := w.EnableObs(false)
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !w.AllDone() {
+		t.Fatal("fleet did not finish")
+	}
+	for i := range m.Procs {
+		if m.Procs[i].Hists != nil {
+			t.Fatalf("proc %d of an unrecoverable fleet has a histogram block", i)
+		}
+	}
+
+	w = sim.NewWorld(17, Fleet(Sized(120))...)
+	w.RecordTrace = false
+	m, _ = w.EnableObs(false)
+	d := dc.New(w, protocol.CPV2PC, stablestore.Rio)
+	if err := d.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Procs {
+		p := &m.Procs[i]
+		if observed := p.Commits+p.LogForces+p.Rollbacks > 0; observed != (p.Hists != nil) {
+			t.Fatalf("proc %d: commits=%d log_forces=%d rollbacks=%d but block present=%v",
+				i, p.Commits, p.LogForces, p.Rollbacks, p.Hists != nil)
+		}
+	}
+}

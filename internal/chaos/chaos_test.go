@@ -271,9 +271,9 @@ func TestChaosObservability(t *testing.T) {
 	if pm.Crashes == 0 {
 		t.Error("metrics recorded no crashes despite a scheduled stop")
 	}
-	if pm.Rollbacks == 0 || pm.RollbackDepth.Count != pm.Rollbacks {
-		t.Errorf("rollback metrics inconsistent: rollbacks=%d depth count=%d",
-			pm.Rollbacks, pm.RollbackDepth.Count)
+	if pm.Rollbacks == 0 || pm.Hists == nil || pm.Hists.RollbackDepth.Count != pm.Rollbacks {
+		t.Errorf("rollback metrics inconsistent: rollbacks=%d histograms=%+v",
+			pm.Rollbacks, pm.Hists)
 	}
 	if pm.Commits == 0 || pm.CommitBytes == 0 {
 		t.Errorf("commit metrics empty: commits=%d bytes=%d", pm.Commits, pm.CommitBytes)

@@ -80,8 +80,8 @@ func TestCommitSteadyStateZeroAllocsWithMetrics(t *testing.T) {
 		t.Errorf("instrumented steady-state commit allocates %.1f times per run, want 0", n)
 	}
 	pm := &m.Procs[0]
-	if pm.Commits == 0 || pm.CommitLatency.Count != pm.Commits {
-		t.Errorf("commit metrics did not accumulate: commits=%d latency count=%d", pm.Commits, pm.CommitLatency.Count)
+	if pm.Commits == 0 || pm.Hists == nil || pm.Hists.CommitLatency.Count != pm.Commits {
+		t.Errorf("commit metrics did not accumulate: commits=%d histograms=%+v", pm.Commits, pm.Hists)
 	}
 	if m.Vista[0].Commits == 0 {
 		t.Error("vista metrics slot was not wired to the segment")

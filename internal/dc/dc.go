@@ -92,7 +92,7 @@ type DC struct {
 	// deps[p][q] = q's commit epoch when p acquired a dependence on q's
 	// then-uncommitted non-determinism; stale entries (q committed
 	// since) are pruned at coordination time.
-	deps    []map[int]int
+	deps  []map[int]int
 	epoch []int
 	//failtrans:cowshared mutableMsgDeps
 	msgDeps map[int64]map[int]int
@@ -335,8 +335,9 @@ func (d *DC) finishCommit(p *sim.Proc, st vista.Stats, label string) {
 		pm.Commits++
 		pm.CommitBytes += int64(st.Bytes)
 		pm.CommitPages += int64(st.Pages)
-		pm.CommitLatency.ObserveDuration(cost)
-		pm.CommitSize.Observe(int64(st.Bytes))
+		h := pm.Hist()
+		h.CommitLatency.ObserveDuration(cost)
+		h.CommitSize.Observe(int64(st.Bytes))
 	}
 	if t := d.World.Tracer; t != nil {
 		t.SpanArgs(p.Index, "dc", "commit", start, cost, "label", label, "bytes", int64(st.Bytes))
@@ -490,7 +491,7 @@ func (d *DC) noteLogForce(p *sim.Proc, start time.Duration, cost time.Duration, 
 	if m := d.World.Metrics; m != nil {
 		pm := &m.Procs[p.Index]
 		pm.LogForces++
-		pm.LogForceLatency.ObserveDuration(cost)
+		pm.Hist().LogForceLatency.ObserveDuration(cost)
 	}
 	if t := d.World.Tracer; t != nil {
 		t.SpanArgs(p.Index, "dc", "log-force", start, cost, "", "", "bytes", int64(bytes))
@@ -797,7 +798,7 @@ func (d *DC) Rollback(p *sim.Proc) error {
 		pm := &m.Procs[i]
 		pm.Rollbacks++
 		pm.RolledBackEvents += depth
-		pm.RollbackDepth.Observe(depth)
+		pm.Hist().RollbackDepth.Observe(depth)
 	}
 	if t := d.World.Tracer; t != nil {
 		t.SpanArgs(i, "dc", "rollback", start, cost, "", "", "depth", depth)

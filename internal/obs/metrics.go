@@ -5,9 +5,11 @@
 // debug logger.
 //
 // The registry is engineered so the instrumented commit hot paths stay at
-// zero steady-state heap allocations: every per-process slot is
-// preallocated at construction, counters are plain int64 fields, and
-// histogram observation is a single array-bucket increment. The tracer, by
+// zero steady-state heap allocations and each process's footprint is
+// proportional to what it uses: every per-process counter slot is
+// preallocated at construction and updated by plain int64 increments, while
+// a process's histograms are allocated once, on its first observation, after
+// which observing is a single array-bucket increment. The tracer, by
 // contrast, buffers events in a growing slice (tracing is a diagnostic
 // mode, not a hot-path one) and serializes them deterministically, so the
 // same seed produces a byte-identical trace file.
@@ -112,8 +114,33 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.Max
 }
 
-// ProcMetrics is one process's fixed-slot counter block. Every field is
-// updated by plain increments on paths that must not allocate.
+// ProcHists is one process's histogram block. Only processes under a
+// recovery layer observe into it, so ProcMetrics carries it by pointer and
+// allocates it on the first observation (ProcMetrics.Hist).
+type ProcHists struct {
+	// CommitLatency is the per-commit virtual-time cost and CommitSize the
+	// per-commit dirty payload in bytes.
+	CommitLatency Histogram
+	CommitSize    Histogram
+	// LogForceLatency is the virtual-time cost of each synchronous log
+	// force.
+	LogForceLatency Histogram
+	// RollbackDepth is the per-recovery distribution of the events
+	// discarded (events since the last commit).
+	RollbackDepth Histogram
+}
+
+// merge folds histogram block o into h.
+func (h *ProcHists) merge(o *ProcHists) {
+	h.CommitLatency.Merge(&o.CommitLatency)
+	h.CommitSize.Merge(&o.CommitSize)
+	h.LogForceLatency.Merge(&o.LogForceLatency)
+	h.RollbackDepth.Merge(&o.RollbackDepth)
+}
+
+// ProcMetrics is one process's fixed-slot counter block. Every counter is
+// updated by plain increments on paths that must not allocate; the
+// histograms live behind Hists.
 type ProcMetrics struct {
 	// Events counts recorded events by kind (internal, visible, send,
 	// receive, commit, crash).
@@ -124,27 +151,20 @@ type ProcMetrics struct {
 	Logged        int64
 
 	// Commits / CommitBytes / CommitPages account the Discount Checking
-	// commit path; CommitLatency is the per-commit virtual-time cost and
-	// CommitSize the per-commit dirty payload in bytes. CommitsVetoed
-	// counts commits a CommitVeto policy deferred.
+	// commit path. CommitsVetoed counts commits a CommitVeto policy
+	// deferred.
 	Commits       int64
 	CommitBytes   int64
 	CommitPages   int64
 	CommitsVetoed int64
-	CommitLatency Histogram
-	CommitSize    Histogram
 
-	// LogForces counts synchronous log-force points; LogForceLatency is
-	// their virtual-time cost.
-	LogForces       int64
-	LogForceLatency Histogram
+	// LogForces counts synchronous log-force points.
+	LogForces int64
 
 	// Rollbacks counts recoveries; RolledBackEvents sums the events
-	// discarded by them; RollbackDepth is the per-recovery distribution of
-	// that depth (events since the last commit).
+	// discarded by them.
 	Rollbacks        int64
 	RolledBackEvents int64
-	RollbackDepth    Histogram
 	// ReplayedEvents counts events executed under constrained re-execution
 	// (the recovery tax the paper's timelines visualize).
 	ReplayedEvents int64
@@ -157,6 +177,23 @@ type ProcMetrics struct {
 
 	// InboxPeak is a gauge: the deepest the process's inbox ever got.
 	InboxPeak int64
+
+	// Hists is the process's histogram block: nil until the process first
+	// observes a value, which goes through Hist. Readers treat nil as
+	// every histogram empty.
+	Hists *ProcHists
+}
+
+// Hist returns the process's histogram block, allocating it on the first
+// observation. It takes no lock: a block is only ever touched for its own
+// process — Discount Checking's commit, log-force and rollback bookkeeping
+// runs serially, and the parallel 2PC member diffs touch only their own
+// process's state — so no two goroutines allocate the same block.
+func (p *ProcMetrics) Hist() *ProcHists {
+	if p.Hists == nil {
+		p.Hists = new(ProcHists)
+	}
+	return p.Hists
 }
 
 // VistaMetrics is one segment's fixed-slot counter block, updated from the
@@ -179,9 +216,10 @@ type VistaMetrics struct {
 	BytesCOW        int64
 }
 
-// Metrics is the per-run registry. All slots are preallocated by NewMetrics
-// so instrumented hot paths never allocate; the syscall-by-name map is the
-// one exception and is touched only on the (cold) kernel dispatch path.
+// Metrics is the per-run registry. All counter slots are preallocated by
+// NewMetrics so instrumented hot paths never allocate; the exceptions are a
+// process's histogram block, allocated once on its first observation, and
+// the syscall-by-name map, touched only on the (cold) kernel dispatch path.
 type Metrics struct {
 	Procs []ProcMetrics
 	Vista []VistaMetrics
@@ -207,7 +245,8 @@ type Metrics struct {
 	SyscallByName map[string]int64
 }
 
-// NewMetrics returns a registry with n preallocated per-process slots.
+// NewMetrics returns a registry with n preallocated per-process counter
+// slots.
 func NewMetrics(n int) *Metrics {
 	return &Metrics{
 		Procs:         make([]ProcMetrics, n),
@@ -217,7 +256,7 @@ func NewMetrics(n int) *Metrics {
 }
 
 // merge folds one process block into another (counter sums, gauge max,
-// histogram merges).
+// histogram merges). An absent histogram block merges as empty.
 func (p *ProcMetrics) merge(o *ProcMetrics) {
 	for i := range o.Events {
 		p.Events[i] += o.Events[i]
@@ -228,18 +267,17 @@ func (p *ProcMetrics) merge(o *ProcMetrics) {
 	p.CommitBytes += o.CommitBytes
 	p.CommitPages += o.CommitPages
 	p.CommitsVetoed += o.CommitsVetoed
-	p.CommitLatency.Merge(&o.CommitLatency)
-	p.CommitSize.Merge(&o.CommitSize)
 	p.LogForces += o.LogForces
-	p.LogForceLatency.Merge(&o.LogForceLatency)
 	p.Rollbacks += o.Rollbacks
 	p.RolledBackEvents += o.RolledBackEvents
-	p.RollbackDepth.Merge(&o.RollbackDepth)
 	p.ReplayedEvents += o.ReplayedEvents
 	p.Crashes += o.Crashes
 	p.Syscalls += o.Syscalls
 	if o.InboxPeak > p.InboxPeak {
 		p.InboxPeak = o.InboxPeak
+	}
+	if o.Hists != nil {
+		p.Hist().merge(o.Hists)
 	}
 }
 
@@ -307,7 +345,8 @@ func writeHist(w io.Writer, indent, name string, h *Histogram) {
 
 // WriteSnapshot writes a deterministic, human-readable snapshot of every
 // counter, gauge and histogram: same counters in, byte-identical snapshot
-// out. Field order is fixed and the one map is emitted sorted.
+// out. Field order is fixed and the one map is emitted sorted. A process
+// without a histogram block prints empty histogram lines.
 func (m *Metrics) WriteSnapshot(w io.Writer) error {
 	fmt.Fprintf(w, "# failtrans metrics snapshot (procs=%d)\n", len(m.Procs))
 	fmt.Fprintf(w, "steps %d\n", m.Steps)
@@ -325,8 +364,13 @@ func (m *Metrics) WriteSnapshot(w io.Writer) error {
 	for _, name := range names {
 		fmt.Fprintf(w, "syscall %s %d\n", name, m.SyscallByName[name])
 	}
+	var none ProcHists // read by processes that never observed a value
 	for i := range m.Procs {
 		p := &m.Procs[i]
+		h := p.Hists
+		if h == nil {
+			h = &none
+		}
 		fmt.Fprintf(w, "proc %d\n", i)
 		fmt.Fprintf(w, "  events internal=%d visible=%d send=%d receive=%d commit=%d crash=%d\n",
 			p.Events[event.Internal], p.Events[event.Visible], p.Events[event.Send],
@@ -334,13 +378,13 @@ func (m *Metrics) WriteSnapshot(w io.Writer) error {
 		fmt.Fprintf(w, "  effectively_nd %d\n", p.EffectivelyND)
 		fmt.Fprintf(w, "  logged %d\n", p.Logged)
 		fmt.Fprintf(w, "  commits %d bytes=%d pages=%d vetoed=%d\n", p.Commits, p.CommitBytes, p.CommitPages, p.CommitsVetoed)
-		writeHist(w, "  ", "commit_latency_ns", &p.CommitLatency)
-		writeHist(w, "  ", "commit_size_bytes", &p.CommitSize)
+		writeHist(w, "  ", "commit_latency_ns", &h.CommitLatency)
+		writeHist(w, "  ", "commit_size_bytes", &h.CommitSize)
 		fmt.Fprintf(w, "  log_forces %d\n", p.LogForces)
-		writeHist(w, "  ", "log_force_latency_ns", &p.LogForceLatency)
+		writeHist(w, "  ", "log_force_latency_ns", &h.LogForceLatency)
 		fmt.Fprintf(w, "  rollbacks %d rolled_back_events=%d replayed_events=%d\n",
 			p.Rollbacks, p.RolledBackEvents, p.ReplayedEvents)
-		writeHist(w, "  ", "rollback_depth_events", &p.RollbackDepth)
+		writeHist(w, "  ", "rollback_depth_events", &h.RollbackDepth)
 		fmt.Fprintf(w, "  crashes %d\n", p.Crashes)
 		fmt.Fprintf(w, "  syscalls %d\n", p.Syscalls)
 		fmt.Fprintf(w, "  inbox_peak %d\n", p.InboxPeak)
@@ -399,13 +443,8 @@ func (m *Metrics) Summarize() RunSummary {
 		s.LogForces += p.LogForces
 		s.Rollbacks += p.Rollbacks
 		s.ReplayedEvents += p.ReplayedEvents
-		lat.Count += p.CommitLatency.Count
-		lat.Sum += p.CommitLatency.Sum
-		if p.CommitLatency.Max > lat.Max {
-			lat.Max = p.CommitLatency.Max
-		}
-		for b := range p.CommitLatency.Buckets {
-			lat.Buckets[b] += p.CommitLatency.Buckets[b]
+		if p.Hists != nil {
+			lat.Merge(&p.Hists.CommitLatency)
 		}
 	}
 	for i := range m.Vista {

@@ -291,7 +291,7 @@ func (c *Ctx) Recv() (Msg, bool) {
 	before := len(c.p.inbox)
 	kept := c.p.inbox[:0]
 	for _, m := range c.p.inbox {
-		if m.DeliverAt <= now && m.SendIdx <= c.p.RecvHW[m.From] {
+		if m.DeliverAt <= now && m.SendIdx <= c.p.recvHW(m.From) {
 			continue
 		}
 		kept = append(kept, m)
@@ -416,22 +416,25 @@ func EncodeParts(parts [][]byte) []byte {
 	return out
 }
 
-// DecodeParts is the inverse of EncodeParts.
+// DecodeParts is the inverse of EncodeParts. Logged results are replayed
+// from storage, so the input is untrusted: a malformed count or part length
+// ends decoding, and the well-formed prefix decoded so far is returned.
 func DecodeParts(data []byte) [][]byte {
 	if len(data) < 8 {
 		return nil
 	}
-	n := int(binary.LittleEndian.Uint64(data[0:8]))
+	n := int64(binary.LittleEndian.Uint64(data[0:8]))
 	pos := 8
-	out := make([][]byte, 0, n)
-	for i := 0; i < n && pos+8 <= len(data); i++ {
-		l := int(binary.LittleEndian.Uint64(data[pos : pos+8]))
+	// Every part costs at least its 8-byte length word.
+	out := make([][]byte, 0, max(0, min(n, int64(len(data)/8))))
+	for i := int64(0); i < n && pos+8 <= len(data); i++ {
+		l := int64(binary.LittleEndian.Uint64(data[pos : pos+8]))
 		pos += 8
-		if pos+l > len(data) {
+		if l < 0 || l > int64(len(data)-pos) {
 			return out
 		}
-		out = append(out, append([]byte(nil), data[pos:pos+l]...))
-		pos += l
+		out = append(out, append([]byte(nil), data[pos:pos+int(l)]...))
+		pos += int(l)
 	}
 	return out
 }

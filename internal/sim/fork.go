@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -176,13 +178,10 @@ func (p *Proc) forkInto(np *Proc, nw *World) error {
 		inboxMinOK:  p.inboxMinOK,
 		schedIdx:    -1, // the fork builds its own readiness index
 	}
-	// Single-process worlds never populate RecvHW; bumpRecvHW rebuilds the
-	// map on the fork's first receive.
+	// The fork owns its marks (restores refill them in place); an empty
+	// list — every single-process world's — stays nil.
 	if len(p.RecvHW) > 0 {
-		np.RecvHW = make(map[int]int64, len(p.RecvHW))
-		for k, v := range p.RecvHW {
-			np.RecvHW[k] = v
-		}
+		np.RecvHW = append([]RecvMark(nil), p.RecvHW...)
 	}
 	// np.rng stays nil: rand.Rand state cannot be copied, and seeding a
 	// fresh generator per fork would dominate fork cost for the campaign
@@ -193,16 +192,34 @@ func (p *Proc) forkInto(np *Proc, nw *World) error {
 	return nil
 }
 
-// bumpRecvHW advances the per-sender receive high-water mark, building the
-// map on first use (forks and single-process worlds start without one).
+// recvMark binary-searches RecvHW for sender from: it returns the mark's
+// position, or the position keeping the list sorted if from has none.
+func (p *Proc) recvMark(from int) (int, bool) {
+	return slices.BinarySearchFunc(p.RecvHW, from, func(m RecvMark, from int) int {
+		return cmp.Compare(m.From, from)
+	})
+}
+
+// recvHW returns the highest SendIdx consumed from sender from (0 if none).
+func (p *Proc) recvHW(from int) int64 {
+	if i, ok := p.recvMark(from); ok {
+		return p.RecvHW[i].Idx
+	}
+	return 0
+}
+
+// bumpRecvHW advances the receive high-water mark of sender from, inserting
+// the sender in order on its first message.
 func (p *Proc) bumpRecvHW(from int, idx int64) {
-	if idx <= p.RecvHW[from] {
-		return
+	i, ok := p.recvMark(from)
+	switch {
+	case ok:
+		if idx > p.RecvHW[i].Idx {
+			p.RecvHW[i].Idx = idx
+		}
+	case idx > 0:
+		p.RecvHW = slices.Insert(p.RecvHW, i, RecvMark{From: from, Idx: idx})
 	}
-	if p.RecvHW == nil {
-		p.RecvHW = make(map[int]int64)
-	}
-	p.RecvHW[from] = idx
 }
 
 // rand returns the process's transient-ND generator, materializing it on

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // safeStep runs one Program step, converting a runtime panic — an index out
@@ -70,16 +69,10 @@ func (p *Proc) AppendCheckpointImage(buf []byte, essential bool) ([]byte, error)
 	buf = append(buf, mode)
 	buf = appendI64(buf, int64(p.InputCursor))
 	buf = appendI64(buf, p.SendSeq)
-	senders := p.ckptSenders[:0]
-	for s := range p.RecvHW {
-		senders = append(senders, s)
-	}
-	sort.Ints(senders)
-	p.ckptSenders = senders
-	buf = appendI64(buf, int64(len(senders)))
-	for _, s := range senders {
-		buf = appendI64(buf, int64(s))
-		buf = appendI64(buf, p.RecvHW[s])
+	buf = appendI64(buf, int64(len(p.RecvHW)))
+	for _, hw := range p.RecvHW {
+		buf = appendI64(buf, int64(hw.From))
+		buf = appendI64(buf, hw.Idx)
 	}
 	lenAt := len(buf)
 	buf = appendI64(buf, 0)
@@ -114,6 +107,7 @@ var (
 	errImageEmpty     = errors.New("sim: empty checkpoint image")
 	errImageTruncated = errors.New("sim: checkpoint image truncated")
 	errImageOverrun   = errors.New("sim: checkpoint image section overruns")
+	errImageSenders   = errors.New("sim: checkpoint image senders not strictly increasing")
 )
 
 // getI64 decodes the next little-endian word of a checkpoint image,
@@ -130,9 +124,12 @@ func getI64(img []byte, pos *int) (int64, error) {
 // RestoreCheckpointImage is the inverse of CheckpointImage: it reloads
 // application state (full or essential, per the image's mode byte), the
 // session counters, and kernel state. Like its Append counterpart it is
-// allocation-free in the steady state — the receive-highwater map is
-// cleared and refilled in place rather than rebuilt, and image parsing
-// reads words directly out of img.
+// allocation-free in the steady state — the receive high-water list is
+// refilled in place rather than rebuilt, and image parsing reads words
+// directly out of img. Every count and length is bounded by the bytes that
+// remain before it is used, and the senders must be strictly increasing (the
+// list's lookup order); a malformed image returns an error and restores
+// nothing of the session or kernel state.
 //
 //failtrans:hotpath
 func (p *Proc) RestoreCheckpointImage(img []byte) error {
@@ -154,16 +151,22 @@ func (p *Proc) RestoreCheckpointImage(img []byte) error {
 	if err != nil {
 		return err
 	}
-	if pos+int(nhw)*16 > len(img) {
+	if nhw < 0 || nhw > int64((len(img)-pos)/16) {
 		return errImageTruncated
 	}
 	hwPos := pos
-	pos += int(nhw) * 16
+	for i := int64(0); i < nhw; i++ {
+		s := int64(binary.LittleEndian.Uint64(img[pos:]))
+		if i > 0 && s <= int64(binary.LittleEndian.Uint64(img[pos-16:])) {
+			return errImageSenders
+		}
+		pos += 16
+	}
 	appLen, err := getI64(img, &pos)
 	if err != nil {
 		return err
 	}
-	if appLen < 0 || pos+int(appLen) > len(img) {
+	if appLen < 0 || appLen > int64(len(img)-pos) {
 		return errImageOverrun
 	}
 	app := img[pos : pos+int(appLen)]
@@ -172,7 +175,7 @@ func (p *Proc) RestoreCheckpointImage(img []byte) error {
 	if err != nil {
 		return err
 	}
-	if kernLen < 0 || pos+int(kernLen) > len(img) {
+	if kernLen < 0 || kernLen > int64(len(img)-pos) {
 		return errImageOverrun
 	}
 	kern := img[pos : pos+int(kernLen)]
@@ -194,17 +197,17 @@ func (p *Proc) RestoreCheckpointImage(img []byte) error {
 	// the in-place update leaves no torn state behind.
 	p.InputCursor = int(cursor)
 	p.SendSeq = sendSeq
-	if p.RecvHW == nil {
-		//failtrans:alloc first restore of a fork that started with no highwater map; every later rollback reuses it
-		p.RecvHW = make(map[int]int64, nhw)
-	} else {
-		clear(p.RecvHW)
+	if cap(p.RecvHW) < int(nhw) {
+		//failtrans:alloc the list only grows past its high-water capacity; every later rollback refills it in place
+		p.RecvHW = make([]RecvMark, 0, nhw)
 	}
-	for i := int64(0); i < nhw; i++ {
-		s := int64(binary.LittleEndian.Uint64(img[hwPos:]))
-		v := int64(binary.LittleEndian.Uint64(img[hwPos+8:]))
+	p.RecvHW = p.RecvHW[:nhw]
+	for i := range p.RecvHW {
+		p.RecvHW[i] = RecvMark{
+			From: int(binary.LittleEndian.Uint64(img[hwPos:])),
+			Idx:  int64(binary.LittleEndian.Uint64(img[hwPos+8:])),
+		}
 		hwPos += 16
-		p.RecvHW[int(s)] = v
 	}
 	if p.World.OS != nil {
 		p.World.OS.RestoreProcState(p.Index, kern)
